@@ -12,7 +12,7 @@ BENCH_BEST ?= BENCH_best.json
 MAX_DRIFT ?= 0.10
 MAX_ALLOC_GROWTH ?= 0
 
-.PHONY: build test bench bench-json bench-diff bench-best vet xbarvet lint fuzz-smoke
+.PHONY: build test bench bench-json bench-diff bench-best vet xbarvet lint loc fuzz-smoke
 
 build: vet
 	$(GO) build ./...
@@ -33,6 +33,17 @@ lint: vet xbarvet
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
+
+# loc prints the size metrics ROADMAP tracks: non-test Go lines in the root
+# module (e2ebench/ is a module of its own, testdata holds fixtures, and
+# dot-directories hold build caches) and the field count of engine.Options.
+loc:
+	@find . \( -path ./e2ebench -o -name testdata -o -name '.?*' \) -prune -o \
+		-name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l | \
+		xargs printf 'non-test Go lines: %s\n'
+	@awk '/^type Options struct/ { body = 1; next } body && /^}/ { exit } \
+		body && /^\t[A-Z][A-Za-z0-9_]* / { n++ } \
+		END { printf "engine.Options fields: %d\n", n }' internal/engine/engine.go
 
 # fuzz-smoke gives the two parser/kernel fuzz targets a short budget; CI
 # runs the same legs so every PR fuzzes the frame decoder and match kernel.

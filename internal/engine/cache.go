@@ -8,9 +8,9 @@ import (
 // DefaultCacheSize is the total entry budget when Options.CacheSize is zero.
 const DefaultCacheSize = 1024
 
-// defaultCacheShards splits the cache into independently locked LRU shards
+// cacheShards splits the cache into independently locked LRU shards
 // so concurrent workers don't serialize on one mutex.
-const defaultCacheShards = 16
+const cacheShards = 16
 
 // resultCache is a sharded LRU of finished job results keyed by the
 // canonical spec hash.
@@ -30,13 +30,11 @@ type cacheEntry struct {
 	val JobResult
 }
 
-// newResultCache builds a cache holding about `size` entries in total.
+// newResultCache builds a cache holding about `size` entries in total,
+// split across `shards` LRU shards.
 func newResultCache(size, shards int) *resultCache {
 	if size <= 0 {
 		size = DefaultCacheSize
-	}
-	if shards <= 0 {
-		shards = defaultCacheShards
 	}
 	if shards > size {
 		shards = size
@@ -92,21 +90,6 @@ func (c *resultCache) Put(key string, val JobResult) {
 		s.ll.Remove(oldest)
 		delete(s.m, oldest.Value.(*cacheEntry).key)
 	}
-}
-
-// Snapshot copies every entry, oldest-first within each shard, so a
-// restore that Puts entries in snapshot order reproduces the LRU order.
-func (c *resultCache) Snapshot() []cacheEntry {
-	var out []cacheEntry
-	for _, s := range c.shards {
-		s.mu.Lock()
-		for el := s.ll.Back(); el != nil; el = el.Prev() {
-			en := el.Value.(*cacheEntry)
-			out = append(out, cacheEntry{key: en.key, val: en.val})
-		}
-		s.mu.Unlock()
-	}
-	return out
 }
 
 // Len reports the total entry count across shards.

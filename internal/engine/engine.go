@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,30 +30,16 @@ type Options struct {
 	// Workers bounds concurrent job execution; zero means GOMAXPROCS.
 	Workers int
 	// CacheSize is the result cache entry budget: zero means
-	// DefaultCacheSize, negative disables caching.
+	// DefaultCacheSize, negative disables caching. The journal and the
+	// follower both store into the cache, so a negative CacheSize with
+	// JournalDir or FollowPeer set leaves the engine unready (see Ready).
 	CacheSize int
-	// CacheShards splits the cache (zero means 16).
-	CacheShards int
 	// DefaultTimeout bounds each job's execution when the job doesn't set
 	// its own; zero means no limit. Cooperative kernels (Monte Carlo)
 	// abort at the deadline; the uninterruptible synthesis/map kernels
 	// run to completion on their worker and report a late result, so
 	// concurrent compute never exceeds Workers.
 	DefaultTimeout time.Duration
-	// StatusLimit bounds the in-memory job status store used by the HTTP
-	// service; the oldest finished jobs are evicted first. Zero means
-	// 16384.
-	StatusLimit int
-	// CacheFile, when non-empty, makes the result cache persistent: the
-	// snapshot is loaded at New (warm start), written every
-	// CachePersistInterval while the engine runs, and written a final time
-	// at Close. Keys are the canonical spec hashes, so a reloaded cache
-	// answers exactly the jobs it would have answered before the restart.
-	CacheFile string
-	// CachePersistInterval is the background snapshot period when CacheFile
-	// is set: zero means DefaultCachePersistInterval, negative disables the
-	// background loop (the cache is still saved at Close).
-	CachePersistInterval time.Duration
 	// MaxQueuedJobs bounds jobs admitted but not yet finished across all
 	// batches; Submit fails with ErrOverloaded (retryable) beyond it, and
 	// with ErrBatchTooLarge (not retryable) for a single batch bigger than
@@ -65,9 +52,10 @@ type Options struct {
 	// segmented write-ahead log under this directory: every cache insert
 	// is group-committed to the journal before the result is published,
 	// New recovers by replaying the journal (tolerating a torn final
-	// record), and the log is compacted in the background. With a journal
-	// the CacheFile snapshot is just a warm-start checkpoint, not the
-	// source of truth.
+	// record), and the log is compacted in the background. It is the
+	// engine's only warm-start path. A journal that cannot be opened (a
+	// LOCK held by another process, an unwritable directory) leaves the
+	// engine unready (see Ready) instead of serving without durability.
 	JournalDir string
 	// JournalSegmentBytes rotates journal segments past this size; zero
 	// means the journal package default (4 MiB).
@@ -77,8 +65,8 @@ type Options struct {
 	// compaction.
 	JournalCompactInterval time.Duration
 	// JournalMaxAge drops journal records older than this at compaction;
-	// zero keeps all. Results evicted this way survive only in the cache
-	// snapshot (if configured) until the process restarts.
+	// zero keeps all. Results evicted this way survive only in the
+	// in-memory cache until the process restarts.
 	JournalMaxAge time.Duration
 	// JournalMaxRecords keeps only the newest this-many live journal
 	// records at compaction; zero keeps all.
@@ -218,8 +206,10 @@ type Engine struct {
 	openBatches int // batches submitted but not fully finished
 	queuedJobs  int // jobs admitted but not yet finished
 
-	persistStop chan struct{}
-	persistWG   sync.WaitGroup
+	// startErr is why New could not bring the engine up as configured (a
+	// journal that would not open, a journal or follower without a
+	// cache). Set only inside New; Ready reports it forever after.
+	startErr error
 
 	compactStop chan struct{}
 	compactWG   sync.WaitGroup
@@ -232,19 +222,13 @@ type Engine struct {
 
 	streamStop chan struct{} // guarded by mu; closed and replaced by StopStreams
 
-	nextID        atomic.Int64
-	nextBatch     atomic.Int64
-	stSubmitted   atomic.Int64
-	stCompleted   atomic.Int64
-	stCacheHits   atomic.Int64
-	stErrors      atomic.Int64
-	stActive      atomic.Int64
-	stMaxActive   atomic.Int64
-	stReplicated  atomic.Int64
-	stReplCursor  atomic.Uint64
-	stDeduped     atomic.Int64
-	stRejected    atomic.Int64
-	stQuotaReject atomic.Int64
+	// Counters with no /metrics family of their own; every other event
+	// count lives only in met, and Stats reads it from there.
+	nextID      atomic.Int64
+	nextBatch   atomic.Int64
+	stSubmitted atomic.Int64
+	stActive    atomic.Int64
+	stMaxActive atomic.Int64
 }
 
 // flight is one in-progress execution of a job identity, shared by every
@@ -286,13 +270,18 @@ func (t *task) traceID() string {
 	return t.batch.traceID
 }
 
-// New starts an engine. Callers must Close it to release the workers.
+// statusLimit bounds the in-memory job status store used by the HTTP
+// service; the oldest finished jobs are evicted first.
+const statusLimit = 16384
+
+// New starts an engine. Callers must Close it to release the workers. A
+// configuration New cannot honour — an unopenable journal, a journal or
+// follower with caching disabled — still yields a running engine, but one
+// whose Ready reports the failure, so /readyz keeps it out of rotation and
+// cmd/xbarserver exits instead of serving without durability.
 func New(opt Options) *Engine {
 	if opt.Workers <= 0 {
 		opt.Workers = workpool.DefaultWorkers()
-	}
-	if opt.StatusLimit <= 0 {
-		opt.StatusLimit = 16384
 	}
 	e := &Engine{
 		opt:        opt,
@@ -306,23 +295,17 @@ func New(opt Options) *Engine {
 	}
 	e.registerEngineGauges()
 	if opt.CacheSize >= 0 {
-		e.cache = newResultCache(opt.CacheSize, opt.CacheShards)
+		e.cache = newResultCache(opt.CacheSize, cacheShards)
 	}
-	if e.cache != nil && opt.CacheFile != "" {
-		e.loadCacheFile()
-		interval := opt.CachePersistInterval
-		if interval == 0 {
-			interval = DefaultCachePersistInterval
-		}
-		if interval > 0 {
-			e.persistStop = make(chan struct{})
-			e.persistWG.Add(1)
-			go e.persistLoop(interval)
-		}
+	if e.cache == nil && (opt.JournalDir != "" || opt.FollowPeer != "") {
+		// Journal and follower state both live in the result cache; with
+		// caching disabled they would be write-only, and an operator would
+		// believe results are durable or mirrored when they are not.
+		e.startErr = fmt.Errorf("engine: caching disabled (CacheSize < 0) but JournalDir=%q FollowPeer=%q need the result cache",
+			opt.JournalDir, opt.FollowPeer)
+		slog.Error("engine configuration refused: results would be neither durable nor mirrored", "component", "engine",
+			"journal_dir", opt.JournalDir, "follow", opt.FollowPeer, "err", e.startErr)
 	}
-	// The journal replays after the snapshot load: its records are newer
-	// than any checkpoint, and bit-identical replays make the overlay
-	// idempotent where they overlap.
 	if e.cache != nil && opt.JournalDir != "" {
 		e.openJournal()
 	}
@@ -331,13 +314,6 @@ func New(opt Options) *Engine {
 	}
 	if e.cache != nil && (opt.FollowPeer != "" || e.clusterFollowing()) {
 		e.startFollower()
-	}
-	if e.cache == nil && (opt.JournalDir != "" || opt.FollowPeer != "") {
-		// Journal and follower state both live in the result cache; with
-		// caching disabled they would be write-only. Say so loudly rather
-		// than let an operator believe results are durable.
-		log.Printf("engine: caching disabled (CacheSize < 0): ignoring JournalDir=%q FollowPeer=%q — results will NOT be durable or mirrored",
-			opt.JournalDir, opt.FollowPeer)
 	}
 	for i := 0; i < opt.Workers; i++ {
 		e.workerWG.Add(1)
@@ -480,19 +456,20 @@ func (e *Engine) Job(id string) (JobStatus, bool) {
 	return cp, true
 }
 
-// Stats snapshots the engine counters.
+// Stats snapshots the engine counters. The event counts are read from the
+// /metrics instruments, so Stats and a scrape can never disagree.
 func (e *Engine) Stats() Stats {
 	s := Stats{
 		Workers:       e.opt.Workers,
 		Submitted:     e.stSubmitted.Load(),
-		Completed:     e.stCompleted.Load(),
-		CacheHits:     e.stCacheHits.Load(),
-		Errors:        e.stErrors.Load(),
+		Completed:     e.met.jobs.Total(),
+		CacheHits:     e.met.cacheHits.Value(),
+		Errors:        e.met.jobs.Total("outcome", "error"),
 		MaxConcurrent: e.stMaxActive.Load(),
-		Replicated:    e.stReplicated.Load(),
-		Deduped:       e.stDeduped.Load(),
-		Rejected:      e.stRejected.Load(),
-		QuotaRejected: e.stQuotaReject.Load(),
+		Replicated:    e.met.replApplied.Value(),
+		Deduped:       e.met.dedup.Value(),
+		Rejected:      e.met.rejects.Total(),
+		QuotaRejected: e.met.quotaRejects.Total(),
 	}
 	if e.cache != nil {
 		s.CacheEntries = e.cache.Len()
@@ -507,12 +484,16 @@ func (e *Engine) Stats() Stats {
 
 // Ready reports whether the engine can currently take and durably serve
 // work: nil when it is accepting submissions and its journal (if
-// configured) is writable. A draining engine (Close in progress) and one
-// whose journal went read-only (failed rollback) are unready — alive, but
-// to be taken out of load-balancer rotation. GET /readyz maps this to
-// 200/503; liveness stays on /healthz, which answers as long as the
-// process serves HTTP at all.
+// configured) is writable. An engine New could not start as configured,
+// a draining engine (Close in progress), and one whose journal went
+// read-only (failed rollback) are unready — alive, but to be taken out of
+// load-balancer rotation. GET /readyz maps this to 200/503; liveness
+// stays on /healthz, which answers as long as the process serves HTTP at
+// all.
 func (e *Engine) Ready() error {
+	if e.startErr != nil {
+		return e.startErr
+	}
 	e.mu.Lock()
 	closed := e.closed
 	e.mu.Unlock()
@@ -528,16 +509,15 @@ func (e *Engine) Ready() error {
 }
 
 // Close stops accepting work, waits for queued jobs to drain, releases the
-// workers, flushes and closes the journal, and — when Options.CacheFile is
-// set — writes a final cache snapshot. Safe to call more than once. Use
-// CloseTimeout when a stuck job must not be allowed to hang process exit.
+// workers, and flushes and closes the journal. Safe to call more than
+// once. Use CloseTimeout when a stuck job must not be allowed to hang
+// process exit.
 func (e *Engine) Close() { e.CloseTimeout(0) }
 
 // CloseTimeout is Close with a bound on the drain: when the queued jobs
 // have not finished within d (zero means wait forever), the remaining work
-// is abandoned — the journal is still flushed and closed and the final
-// cache snapshot still written, so every result computed before the
-// timeout stays durable. Safe to call more than once.
+// is abandoned — the journal is still flushed and closed, so every result
+// journaled before the timeout stays durable. Safe to call more than once.
 func (e *Engine) CloseTimeout(d time.Duration) {
 	e.mu.Lock()
 	if e.closed {
@@ -568,10 +548,6 @@ func (e *Engine) CloseTimeout(d time.Duration) {
 	} else {
 		<-drained
 	}
-	if e.persistStop != nil {
-		close(e.persistStop)
-		e.persistWG.Wait()
-	}
 	if e.compactStop != nil {
 		close(e.compactStop)
 		e.compactWG.Wait()
@@ -583,9 +559,6 @@ func (e *Engine) CloseTimeout(d time.Duration) {
 		if err := e.journal.Close(); err != nil {
 			log.Printf("engine: closing journal: %v", err)
 		}
-	}
-	if err := e.saveCacheFile(); err != nil {
-		log.Printf("engine: saving cache at close: %v", err)
 	}
 }
 
@@ -639,7 +612,6 @@ func (e *Engine) runTask(t *task) JobResult {
 		}
 		if e.cache != nil {
 			if r, ok := e.cache.Get(key); ok {
-				e.stCacheHits.Add(1)
 				e.met.cacheHits.Inc()
 				r.ID, r.CacheHit, r.Elapsed = t.id, true, 0
 				e.recordJobSpan(t, spanCache, time.Now(), time.Now(), "")
@@ -652,14 +624,12 @@ func (e *Engine) runTask(t *task) JobResult {
 			// Identical work is already running on another worker: wait
 			// for it instead of computing it twice.
 			e.mu.Unlock()
-			e.stDeduped.Add(1)
 			e.met.dedup.Inc()
 			joinStart := time.Now()
 			select {
 			case <-fl.done:
 				e.recordJobSpan(t, spanDedup, joinStart, time.Now(), fl.res.Err)
 				if fl.res.Err == "" {
-					e.stCacheHits.Add(1)
 					e.met.cacheHits.Inc()
 					r := fl.res
 					r.ID, r.CacheHit, r.Elapsed = t.id, true, 0
@@ -716,10 +686,6 @@ func (e *Engine) runTask(t *task) JobResult {
 }
 
 func (e *Engine) finish(t *task, r JobResult) {
-	if r.Err != "" {
-		e.stErrors.Add(1)
-	}
-	e.stCompleted.Add(1)
 	e.met.countJob(t.spec.Kind, r.Err)
 	e.mu.Lock()
 	if st, ok := e.status[t.id]; ok {
@@ -775,7 +741,7 @@ func (e *Engine) setRunning(id string) {
 func (e *Engine) recordLocked(id string) {
 	e.status[id] = &JobStatus{ID: id, Status: StatusPending}
 	e.order = append(e.order, id)
-	e.order = pruneOrder(e.order, e.opt.StatusLimit,
+	e.order = pruneOrder(e.order, statusLimit,
 		func(id string) bool {
 			st, ok := e.status[id]
 			return !ok || st.Status == StatusDone
@@ -811,10 +777,8 @@ func pruneOrder(order []string, limit int, evictable func(id string) bool, evict
 	return kept
 }
 
-// rejected books one admission-control refusal under both counter systems
-// (Stats and /metrics).
+// rejected books one admission-control refusal by reason.
 func (e *Engine) rejected(reason string) {
-	e.stRejected.Add(1)
 	e.met.rejects.With(reason).Inc()
 }
 

@@ -130,18 +130,18 @@ func TestMonteCarloSetupErrorFailsJob(t *testing.T) {
 // job at the head of the eviction order must not stop finished jobs behind
 // it from being evicted.
 func TestStatusEvictionSkipsLiveJobs(t *testing.T) {
-	e := New(Options{Workers: 1, StatusLimit: 3})
+	e := New(Options{Workers: 1})
 	defer e.Close()
 	e.mu.Lock()
 	e.recordLocked("stuck") // stays pending: a live job pinned at the head
-	for i := 0; i < 10; i++ {
-		id := fmt.Sprintf("done%02d", i)
+	for i := 0; i < statusLimit+10; i++ {
+		id := fmt.Sprintf("done%05d", i)
 		e.recordLocked(id)
 		e.status[id].Status = StatusDone
 	}
-	if len(e.order) > 3 || len(e.status) > 3 {
+	if len(e.order) > statusLimit || len(e.status) > statusLimit {
 		e.mu.Unlock()
-		t.Fatalf("status store grew to %d/%d entries despite limit 3", len(e.order), len(e.status))
+		t.Fatalf("status store grew to %d/%d entries despite limit %d", len(e.order), len(e.status), statusLimit)
 	}
 	if _, ok := e.status["stuck"]; !ok {
 		e.mu.Unlock()
@@ -153,7 +153,7 @@ func TestStatusEvictionSkipsLiveJobs(t *testing.T) {
 	_, stuckLeft := e.status["stuck"]
 	n := len(e.order)
 	e.mu.Unlock()
-	if stuckLeft || n > 3 {
+	if stuckLeft || n > statusLimit {
 		t.Fatalf("finished head must be evicted (left=%v, order=%d)", stuckLeft, n)
 	}
 }
@@ -324,8 +324,10 @@ func TestEngineCacheHitAndSharedDedup(t *testing.T) {
 
 func TestEngineCacheEviction(t *testing.T) {
 	// One shard of capacity 2, single worker for deterministic LRU order.
-	e := New(Options{Workers: 1, CacheSize: 2, CacheShards: 1})
+	// The cache is swapped before any job runs, so no worker has read it.
+	e := New(Options{Workers: 1})
 	defer e.Close()
+	e.cache = newResultCache(2, 1)
 	run := func(seed int64) JobResult {
 		r, err := e.Run(context.Background(), []JobSpec{mcSpec(seed)})
 		if err != nil {

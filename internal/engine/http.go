@@ -247,7 +247,6 @@ func (w *statusWriter) status() int {
 // noisy-anonymous-traffic problem is distinguishable from a misbehaving
 // identified client.
 func (e *Engine) quotaRejected(r *http.Request) {
-	e.stQuotaReject.Add(1)
 	kind := "ip"
 	if r.Header.Get("X-Client-ID") != "" {
 		kind = "hdr"

@@ -3,7 +3,9 @@ package engine
 import (
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"log"
+	"log/slog"
 	"reflect"
 	"time"
 
@@ -15,18 +17,15 @@ import (
 const DefaultJournalCompactInterval = 5 * time.Minute
 
 // openJournal opens (and recovers) the durable job journal and replays it
-// into the result cache. The journal is the source of truth for finished
-// results: every cache insert appends to it before the result is
-// published, so a process killed at any point — even one that never wrote
-// a -cache-file snapshot — warm-starts with every result it ever
-// acknowledged. The snapshot, when also configured, is just a compaction
-// checkpoint that the journal replay then overlays (journal records are
-// newer, and replays are bit-identical, so the overlay is idempotent).
+// into the result cache. The journal is the engine's only warm-start path
+// and the source of truth for finished results: every cache insert
+// appends to it before the result is published, so a process killed at
+// any point warm-starts with every result it ever acknowledged.
 //
-// A journal that cannot be opened is fatal for durability, but following
-// the engine's log-and-degrade convention for persistence (see
-// loadCacheFile) it is logged and the engine runs without one rather than
-// taking the service down.
+// A journal that cannot be opened (another process holds its LOCK, the
+// directory is unwritable) fails closed: the error is recorded as
+// startErr, so Ready reports it, /readyz answers 503, and cmd/xbarserver
+// exits rather than serve results it would promise but not keep.
 func (e *Engine) openJournal() {
 	j, err := journal.Open(e.opt.JournalDir, journal.Options{
 		SegmentBytes: e.opt.JournalSegmentBytes,
@@ -36,7 +35,9 @@ func (e *Engine) openJournal() {
 		Metrics:      e.met.reg,
 	})
 	if err != nil {
-		log.Printf("engine: opening journal in %s: %v (running WITHOUT durability)", e.opt.JournalDir, err)
+		e.startErr = fmt.Errorf("engine: opening journal in %s: %w", e.opt.JournalDir, err)
+		slog.Error("journal unusable; engine unready", "component", "engine",
+			"journal_dir", e.opt.JournalDir, "err", err)
 		return
 	}
 	e.journal = j
@@ -105,9 +106,9 @@ func (e *Engine) journalAppend(key string, r JobResult) {
 	}
 }
 
-// canonicalResult strips per-lookup identity and hit metadata so persisted
-// results (journal records, snapshots) are keyed purely by spec hash; the
-// serving path reassigns them per request.
+// canonicalResult strips per-lookup identity and hit metadata so journaled
+// results are keyed purely by spec hash; the serving path reassigns them
+// per request.
 func canonicalResult(r JobResult) JobResult {
 	r.ID, r.CacheHit = "", false
 	return r

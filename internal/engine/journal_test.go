@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -32,11 +33,10 @@ func samePayload(a, b JobResult) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// TestJournalKillRestart64 is the PR's kill-and-restart acceptance check:
-// a server that computed a 64-job batch and was killed WITHOUT ever
-// writing a cache snapshot (no CacheFile configured, no orderly
-// snapshotting) must, restarted on the same journal directory, answer the
-// same batch entirely from cache with bit-identical results.
+// TestJournalKillRestart64 is the kill-and-restart acceptance check: a
+// server that computed a 64-job batch and was killed must, restarted on
+// the same journal directory, answer the same batch entirely from cache
+// with bit-identical results.
 func TestJournalKillRestart64(t *testing.T) {
 	dir := t.TempDir()
 	specs := batch64()
@@ -52,8 +52,7 @@ func TestJournalKillRestart64(t *testing.T) {
 		}
 	}
 	// Run returning means every result was journaled (appends are durable
-	// before a result is published), so a kill here loses nothing. Close
-	// writes no snapshot — there is no CacheFile.
+	// before a result is published), so a kill here loses nothing.
 	e1.Close()
 
 	e2 := New(Options{Workers: 4, JournalDir: dir})
@@ -78,46 +77,48 @@ func TestJournalKillRestart64(t *testing.T) {
 	}
 }
 
-// TestJournalOverlaysSnapshot checks the snapshot-as-checkpoint
-// relationship: results present only in the journal (computed after the
-// last snapshot) are restored alongside the snapshotted ones.
-func TestJournalOverlaysSnapshot(t *testing.T) {
+// TestJournalLockedFailsClosed: a second engine pointed at a journal
+// directory another engine holds must come up unready — /readyz 503 — not
+// accept work while silently running without durability.
+func TestJournalLockedFailsClosed(t *testing.T) {
 	dir := t.TempDir()
-	cacheFile := dir + "/cache.json"
+	owner := New(Options{Workers: 1, JournalDir: dir, JournalNoSync: true})
+	defer owner.Close()
+	if err := owner.Ready(); err != nil {
+		t.Fatalf("journal owner unready: %v", err)
+	}
 
-	e1 := New(Options{Workers: 2, JournalDir: dir, CacheFile: cacheFile, CachePersistInterval: -1})
-	if _, err := e1.Run(context.Background(), []JobSpec{mcSpec(1)}); err != nil {
-		t.Fatal(err)
+	second := New(Options{Workers: 1, JournalDir: dir, JournalNoSync: true})
+	defer second.Close()
+	if err := second.Ready(); err == nil {
+		t.Fatal("engine on a locked journal directory reports ready")
 	}
-	e1.Close() // snapshot now holds mcSpec(1)
-
-	// Second life: compute one more job, then "crash" — Close would write
-	// a fresh snapshot, so this engine is abandoned instead. Its journal
-	// append already committed when Run returned.
-	e2 := New(Options{Workers: 2, JournalDir: dir, CacheFile: cacheFile, CachePersistInterval: -1})
-	if _, err := e2.Run(context.Background(), []JobSpec{mcSpec(2)}); err != nil {
-		t.Fatal(err)
-	}
-	if n := e2.Stats().CacheEntries; n != 2 {
-		t.Fatalf("second engine holds %d entries, want 2", n)
-	}
-	// Release the journal's file handles without snapshotting, simulating
-	// a kill: drop the cache file setting by closing after clearing it.
-	e2.opt.CacheFile = ""
-	e2.Close()
-
-	e3 := New(Options{Workers: 2, JournalDir: dir, CacheFile: cacheFile, CachePersistInterval: -1})
-	defer e3.Close()
-	if n := e3.Stats().CacheEntries; n != 2 {
-		t.Fatalf("restart restored %d entries, want 2 (snapshot checkpoint + journal overlay)", n)
-	}
-	res, err := e3.Run(context.Background(), []JobSpec{mcSpec(1), mcSpec(2)})
+	srv := httptest.NewServer(NewHTTPHandler(second))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range res {
-		if r.Err != "" || !r.CacheHit {
-			t.Fatalf("job %d not served from restored cache: %+v", i, r)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz on a locked journal = HTTP %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestJournalWithoutCacheFailsClosed: journal and follower state live in
+// the result cache, so asking for a journal with caching disabled must
+// leave the engine unready rather than let it serve results it never
+// journals.
+func TestJournalWithoutCacheFailsClosed(t *testing.T) {
+	for name, opt := range map[string]Options{
+		"journal": {Workers: 1, CacheSize: -1, JournalDir: t.TempDir(), JournalNoSync: true},
+		"follow":  {Workers: 1, CacheSize: -1, FollowPeer: "http://127.0.0.1:1"},
+	} {
+		e := New(opt)
+		err := e.Ready()
+		e.Close()
+		if err == nil {
+			t.Errorf("%s with CacheSize -1 reports ready", name)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -191,6 +193,118 @@ func TestQuotaRejectMetrics(t *testing.T) {
 	// counter must not have moved.
 	if m := regexp.MustCompile(`xbar_engine_rejects_total\{[^}]*\} [1-9]`).FindString(body); m != "" {
 		t.Errorf("engine admission rejects booked for quota rejections: %s", m)
+	}
+}
+
+// familyTotal sums every sample of one metric family in an exposition
+// body, optionally only the series whose label set contains match.
+func familyTotal(t *testing.T, body, family, match string) int64 {
+	t.Helper()
+	var n int64
+	for _, line := range strings.Split(body, "\n") {
+		rest, ok := strings.CutPrefix(line, family)
+		if !ok || rest == "" || (rest[0] != ' ' && rest[0] != '{') || !strings.Contains(rest, match) {
+			continue
+		}
+		v, err := strconv.ParseFloat(rest[strings.LastIndexByte(rest, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("family %s has unparsable sample %q", family, line)
+		}
+		n += int64(v)
+	}
+	return n
+}
+
+// TestStatsReadsMetrics pins the single counter store: after one mixed run
+// — a cache hit, a dedup join, a failed job, an admission reject, and a
+// quota reject — every Stats counter equals its /metrics family total, and
+// reading Stats leaves the exposition byte-identical (it creates no label
+// children).
+func TestStatsReadsMetrics(t *testing.T) {
+	e := New(Options{Workers: 1, MaxQueuedJobs: 2, ClientRPS: 0.01, ClientBurst: 1})
+	defer e.Close()
+	srv := httptest.NewServer(NewHTTPHandler(e))
+	defer srv.Close()
+	ctx := context.Background()
+
+	// A cache miss, then the same function over HTTP: a cache hit. The
+	// client's second submission is over its quota.
+	rows := JobSpec{Kind: SynthTwoLevel, Inputs: 3, Outputs: 2, Rows: []string{"11- 10", "1-1 01"}}
+	if r, err := e.Run(ctx, []JobSpec{rows}); err != nil || r[0].Err != "" {
+		t.Fatalf("seed job: %v %+v", err, r)
+	}
+	if resp := postJobsAs(t, srv.URL, "client-a"); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("first submission: HTTP %d", resp.StatusCode)
+	}
+	if resp := postJobsAs(t, srv.URL, "client-a"); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("over-quota submission: HTTP %d, want 429", resp.StatusCode)
+	}
+	waitForStats(t, e, func(s Stats) bool { return s.Completed == 2 })
+
+	// A deterministic job error and an admission reject.
+	if r, err := e.Run(ctx, []JobSpec{{Kind: SynthTwoLevel, Benchmark: "no-such-circuit"}}); err != nil || r[0].Err == "" {
+		t.Fatalf("bad job must fail: %v %+v", err, r)
+	}
+	if _, err := e.Submit(ctx, make([]JobSpec, 3)); !errors.Is(err, ErrBatchTooLarge) {
+		t.Fatalf("oversized batch: %v, want ErrBatchTooLarge", err)
+	}
+
+	// A dedup join: plant an in-flight execution for a spec, submit the
+	// same spec, and release the flight once the job has joined it.
+	spec := fig8Spec(SynthTwoLevel)
+	fl := &flight{done: make(chan struct{}), res: JobResult{Kind: SynthTwoLevel}}
+	e.mu.Lock()
+	e.inflight[spec.hashKey()] = fl
+	e.mu.Unlock()
+	b, err := e.Submit(ctx, []JobSpec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForStats(t, e, func(s Stats) bool { return s.Deduped == 1 })
+	e.mu.Lock()
+	delete(e.inflight, spec.hashKey())
+	e.mu.Unlock()
+	close(fl.done)
+	for r := range b.Results {
+		if !r.CacheHit {
+			t.Fatalf("dedup join not served from the flight: %+v", r)
+		}
+	}
+
+	var before strings.Builder
+	if _, err := e.Metrics().WriteTo(&before); err != nil {
+		t.Fatal(err)
+	}
+	body := before.String()
+	st, cs := e.Stats(), e.ClusterState()
+	for _, c := range []struct {
+		name       string
+		stat, want int64
+		family     string
+		match      string
+	}{
+		{"Completed", st.Completed, 4, "xbar_engine_jobs_total", ""},
+		{"Errors", st.Errors, 1, "xbar_engine_jobs_total", `outcome="error"`},
+		{"CacheHits", st.CacheHits, 2, "xbar_engine_cache_hits_total", ""},
+		{"Deduped", st.Deduped, 1, "xbar_engine_dedup_total", ""},
+		{"Rejected", st.Rejected, 1, "xbar_engine_rejects_total", ""},
+		{"QuotaRejected", st.QuotaRejected, 1, "xbar_quota_rejects_total", ""},
+		{"Replicated", st.Replicated, 0, "xbar_replication_applied_total", ""},
+		{"ReplCursor", int64(cs.ReplCursor), 0, "xbar_replication_cursor", ""},
+	} {
+		if c.stat != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.stat, c.want)
+		}
+		if got := familyTotal(t, body, c.family, c.match); got != c.stat {
+			t.Errorf("%s = %d but %s{%s} totals %d", c.name, c.stat, c.family, c.match, got)
+		}
+	}
+	var after strings.Builder
+	if _, err := e.Metrics().WriteTo(&after); err != nil {
+		t.Fatal(err)
+	}
+	if after.String() != body {
+		t.Errorf("reading Stats changed the exposition:\nbefore:\n%s\nafter:\n%s", body, after.String())
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -332,6 +333,42 @@ func (r *Registry) NewHistogramVec(name, help string, bounds []float64, labels .
 // labels per event when the values are fixed.
 func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.child(values, func() any { return &Counter{} }).(*Counter)
+}
+
+// Total sums the children whose labels match every given name/value pair
+// (no pairs sums the whole family). It only reads existing children, so
+// asking about a label combination never seen creates nothing and leaves
+// the exposition unchanged.
+func (v *CounterVec) Total(pairs ...string) int64 {
+	if len(pairs)%2 != 0 {
+		panic(fmt.Sprintf("metrics: %s Total wants name/value pairs, got %d strings", v.f.name, len(pairs)))
+	}
+	type match struct {
+		idx   int
+		value string
+	}
+	matches := make([]match, 0, len(pairs)/2)
+	for i := 0; i < len(pairs); i += 2 {
+		idx := slices.Index(v.f.labels, pairs[i])
+		if idx < 0 {
+			panic("metrics: " + v.f.name + " has no label " + pairs[i])
+		}
+		matches = append(matches, match{idx, pairs[i+1]})
+	}
+	v.f.mu.Lock()
+	defer v.f.mu.Unlock()
+	var n int64
+	for key, c := range v.f.children {
+		values := strings.Split(key, "\x00")
+		ok := true
+		for _, m := range matches {
+			ok = ok && values[m.idx] == m.value
+		}
+		if ok {
+			n += c.(*Counter).Value()
+		}
+	}
+	return n
 }
 
 // With returns the gauge for the given label values.

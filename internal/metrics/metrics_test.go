@@ -58,6 +58,29 @@ test_latency_seconds_count 4
 	if got := sb.String(); got != want {
 		t.Errorf("exposition mismatch:\ngot:\n%s\nwant:\n%s", got, want)
 	}
+
+	// Totals are read-only: querying a label value never seen must not
+	// create a child, so the exposition stays byte-identical.
+	for _, tc := range []struct {
+		pairs []string
+		want  int64
+	}{
+		{nil, 3},
+		{[]string{"reason", "overloaded"}, 2},
+		{[]string{"reason", "quota"}, 1},
+		{[]string{"reason", "never_seen"}, 0},
+	} {
+		if got := cv.Total(tc.pairs...); got != tc.want {
+			t.Errorf("Total(%q) = %d, want %d", tc.pairs, got, tc.want)
+		}
+	}
+	sb.Reset()
+	if _, err := r.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.String(); got != want {
+		t.Errorf("Total changed the exposition:\n%s", got)
+	}
 }
 
 // TestHistogramBuckets checks boundary placement: le buckets are inclusive
@@ -202,6 +225,8 @@ func TestRegistryPanics(t *testing.T) {
 		"bad bounds":  func() { r.NewHistogram("h_rev", "", []float64{2, 1}) },
 		"label arity": func() { r.NewCounterVec("arity_total", "", "a", "b").With("only-one") },
 		"empty name":  func() { r.NewGauge("", "") },
+		"total label": func() { r.NewCounterVec("total_total", "", "a").Total("b", "x") },
+		"total pairs": func() { r.NewCounterVec("pairs_total", "", "a").Total("a") },
 	} {
 		func() {
 			defer func() {
